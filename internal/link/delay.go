@@ -1,6 +1,7 @@
 package link
 
 import (
+	"errors"
 	"sync"
 	"time"
 
@@ -10,106 +11,80 @@ import (
 // Delayed wraps a Link so that cells experience the given one-way delays:
 // outbound cells arrive at the peer sendDelay later, and inbound cells are
 // surfaced recvDelay after the peer sent them. Ordering is preserved in
-// both directions. This is how the loopback overlay acquires the synthetic
-// Internet's ground-truth latencies.
+// both directions. This is how a TCP overlay acquires the synthetic
+// Internet's ground-truth latencies: a socket cannot carry due stamps, so
+// two pump goroutines hold cells in stamped queues on this side of it.
+// In-process overlays use PipeNet.DialDelayed, which needs neither.
 //
 // The returned Link owns the inner link: closing it closes the inner link.
 func Delayed(inner Link, sendDelay, recvDelay time.Duration) Link {
 	d := &delayedLink{
-		inner:  inner,
-		sendQ:  make(chan timedCell, 1024),
-		recvQ:  make(chan timedResult, 1024),
-		closed: make(chan struct{}),
+		inner:    inner,
+		sendQ:    newQueue[cell.Cell](delayQueueCap, sendDelay),
+		recvQ:    newQueue[cell.Cell](delayQueueCap, recvDelay),
+		closed:   make(chan struct{}),
+		recvDone: make(chan struct{}),
 	}
-	d.sendDelay = sendDelay
-	d.recvDelay = recvDelay
 	go d.sendPump()
 	go d.recvPump()
 	return d
 }
 
-type timedCell struct {
-	c   cell.Cell
-	due time.Time
-}
-
-type timedResult struct {
-	c   cell.Cell
-	err error
-	due time.Time
-}
-
 type delayedLink struct {
-	inner     Link
-	sendDelay time.Duration
-	recvDelay time.Duration
+	inner Link
+	sendQ *queue[cell.Cell]
+	recvQ *queue[cell.Cell]
 
-	sendQ chan timedCell
-	recvQ chan timedResult
+	// recvErr is the inner link's receive error, set before recvDone
+	// closes; Recv reports it once the cells before it have drained.
+	recvErr  error
+	recvDone chan struct{}
 
 	closeOnce sync.Once
 	closed    chan struct{}
 }
 
 func (d *delayedLink) Send(c *cell.Cell) error {
-	select {
-	case <-d.closed:
-		return ErrClosed
-	default:
-	}
-	select {
-	case <-d.closed:
-		return ErrClosed
-	case d.sendQ <- timedCell{c: *c, due: time.Now().Add(d.sendDelay)}:
-		return nil
-	}
+	return d.sendQ.put(c, d.closed, nil)
 }
 
 func (d *delayedLink) sendPump() {
+	var c cell.Cell
 	for {
-		select {
-		case <-d.closed:
+		if d.sendQ.get(&c, d.closed, nil) != nil {
 			return
-		case tc := <-d.sendQ:
-			sleepUntil(tc.due, d.closed)
-			if err := d.inner.Send(&tc.c); err != nil {
-				// The peer is gone; nothing useful to do with the error
-				// here — the caller will learn via Recv or the next Send
-				// after close.
-				return
-			}
+		}
+		if err := d.inner.Send(&c); err != nil {
+			// The peer is gone; nothing useful to do with the error
+			// here — the caller will learn via Recv or the next Send
+			// after close.
+			return
 		}
 	}
 }
 
 func (d *delayedLink) recvPump() {
+	var c cell.Cell
 	for {
-		var tr timedResult
-		tr.err = d.inner.Recv(&tr.c)
-		tr.due = time.Now().Add(d.recvDelay)
-		select {
-		case <-d.closed:
+		if err := d.inner.Recv(&c); err != nil {
+			d.recvErr = err
+			close(d.recvDone)
 			return
-		case d.recvQ <- tr:
 		}
-		if tr.err != nil {
+		if d.recvQ.put(&c, d.closed, nil) != nil {
 			return
 		}
 	}
 }
 
+// Recv surfaces the next cell once due; after the inner link fails, the
+// cells received before the failure drain first, then its error.
 func (d *delayedLink) Recv(c *cell.Cell) error {
-	select {
-	case <-d.closed:
-		return ErrClosed
-	case tr := <-d.recvQ:
-		if tr.err != nil {
-			return tr.err
-		}
-		sleepUntil(tr.due, d.closed)
-		*c = tr.c
-		return nil
+	err := d.recvQ.get(c, d.closed, d.recvDone)
+	if errors.Is(err, errGone) {
+		return d.recvErr
 	}
+	return err
 }
 
 func (d *delayedLink) Close() error {
@@ -122,17 +97,3 @@ func (d *delayedLink) Close() error {
 }
 
 func (d *delayedLink) RemoteAddr() string { return d.inner.RemoteAddr() }
-
-// sleepUntil sleeps until t or until cancel closes, whichever is first.
-func sleepUntil(t time.Time, cancel <-chan struct{}) {
-	d := time.Until(t)
-	if d <= 0 {
-		return
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-cancel:
-	}
-}

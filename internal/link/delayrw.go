@@ -1,6 +1,7 @@
 package link
 
 import (
+	"errors"
 	"io"
 	"sync"
 	"time"
@@ -11,36 +12,26 @@ import (
 // of Delayed, used for exit-relay connections to destinations.
 func DelayedRW(inner io.ReadWriteCloser, sendDelay, recvDelay time.Duration) io.ReadWriteCloser {
 	d := &delayedRW{
-		inner:  inner,
-		sendQ:  make(chan timedBytes, 1024),
-		recvQ:  make(chan timedBytesResult, 1024),
-		closed: make(chan struct{}),
+		inner:    inner,
+		sendQ:    newQueue[[]byte](delayQueueCap, sendDelay),
+		recvQ:    newQueue[[]byte](delayQueueCap, recvDelay),
+		closed:   make(chan struct{}),
+		recvDone: make(chan struct{}),
 	}
-	d.sendDelay = sendDelay
-	d.recvDelay = recvDelay
 	go d.sendPump()
 	go d.recvPump()
 	return d
 }
 
-type timedBytes struct {
-	b   []byte
-	due time.Time
-}
-
-type timedBytesResult struct {
-	b   []byte
-	err error
-	due time.Time
-}
-
 type delayedRW struct {
-	inner     io.ReadWriteCloser
-	sendDelay time.Duration
-	recvDelay time.Duration
+	inner io.ReadWriteCloser
+	sendQ *queue[[]byte]
+	recvQ *queue[[]byte]
 
-	sendQ chan timedBytes
-	recvQ chan timedBytesResult
+	// recvErr is the inner stream's read error, set before recvDone
+	// closes; Read reports it once the chunks before it have drained.
+	recvErr  error
+	recvDone chan struct{}
 
 	mu       sync.Mutex
 	leftover []byte
@@ -51,29 +42,20 @@ type delayedRW struct {
 
 func (d *delayedRW) Write(p []byte) (int, error) {
 	cp := append([]byte(nil), p...)
-	select {
-	case <-d.closed:
-		return 0, ErrClosed
-	default:
+	if err := d.sendQ.put(&cp, d.closed, nil); err != nil {
+		return 0, err
 	}
-	select {
-	case <-d.closed:
-		return 0, ErrClosed
-	case d.sendQ <- timedBytes{b: cp, due: time.Now().Add(d.sendDelay)}:
-		return len(p), nil
-	}
+	return len(p), nil
 }
 
 func (d *delayedRW) sendPump() {
+	var b []byte
 	for {
-		select {
-		case <-d.closed:
+		if d.sendQ.get(&b, d.closed, nil) != nil {
 			return
-		case tb := <-d.sendQ:
-			sleepUntil(tb.due, d.closed)
-			if _, err := d.inner.Write(tb.b); err != nil {
-				return
-			}
+		}
+		if _, err := d.inner.Write(b); err != nil {
+			return
 		}
 	}
 }
@@ -82,17 +64,15 @@ func (d *delayedRW) recvPump() {
 	buf := make([]byte, 32*1024)
 	for {
 		n, err := d.inner.Read(buf)
-		var cp []byte
 		if n > 0 {
-			cp = append([]byte(nil), buf[:n]...)
-		}
-		tr := timedBytesResult{b: cp, err: err, due: time.Now().Add(d.recvDelay)}
-		select {
-		case <-d.closed:
-			return
-		case d.recvQ <- tr:
+			cp := append([]byte(nil), buf[:n]...)
+			if d.recvQ.put(&cp, d.closed, nil) != nil {
+				return
+			}
 		}
 		if err != nil {
+			d.recvErr = err
+			close(d.recvDone)
 			return
 		}
 	}
@@ -108,22 +88,20 @@ func (d *delayedRW) Read(p []byte) (int, error) {
 	}
 	d.mu.Unlock()
 
-	select {
-	case <-d.closed:
-		return 0, ErrClosed
-	case tr := <-d.recvQ:
-		if tr.err != nil && len(tr.b) == 0 {
-			return 0, tr.err
+	var b []byte
+	if err := d.recvQ.get(&b, d.closed, d.recvDone); err != nil {
+		if errors.Is(err, errGone) {
+			return 0, d.recvErr
 		}
-		sleepUntil(tr.due, d.closed)
-		n := copy(p, tr.b)
-		if n < len(tr.b) {
-			d.mu.Lock()
-			d.leftover = tr.b[n:]
-			d.mu.Unlock()
-		}
-		return n, nil
+		return 0, err
 	}
+	n := copy(p, b)
+	if n < len(b) {
+		d.mu.Lock()
+		d.leftover = b[n:]
+		d.mu.Unlock()
+	}
+	return n, nil
 }
 
 func (d *delayedRW) Close() error {

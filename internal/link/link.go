@@ -1,6 +1,8 @@
 // Package link provides cell-oriented transport between mintor nodes: a
-// Link abstraction, a TCP implementation, an in-process pipe implementation,
-// and a latency-injecting wrapper that turns either into a long-haul path.
+// Link abstraction, a TCP implementation, and an in-process pipe
+// implementation. In-process pipes carry one-way delay themselves
+// (PipeNet.DialDelayed); a latency-injecting wrapper (Delayed) turns a TCP
+// link into a long-haul path.
 //
 // The Ting reproduction runs its overlay on loopback (there is no real
 // Internet offline), so inter-node latency is injected here, at the link

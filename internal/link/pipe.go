@@ -1,8 +1,10 @@
 package link
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"ting/internal/cell"
 )
@@ -10,8 +12,8 @@ import (
 // pipeHalf is one end of an in-process Link pair.
 type pipeHalf struct {
 	peerAddr string
-	in       chan cell.Cell
-	out      chan cell.Cell
+	in       *queue[cell.Cell]
+	out      *queue[cell.Cell]
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -22,13 +24,20 @@ type pipeHalf struct {
 
 // Pipe returns a connected pair of in-process Links with the given buffer
 // capacity per direction. It is the zero-latency building block the
-// in-process network uses; wrap with Delayed for long-haul paths.
+// in-process network uses; PipeNet.DialDelayed gives long-haul paths.
 func Pipe(capacity int, addrA, addrB string) (Link, Link) {
 	if capacity <= 0 {
-		capacity = 256
+		capacity = pipeCap
 	}
-	ab := make(chan cell.Cell, capacity)
-	ba := make(chan cell.Cell, capacity)
+	return newPipe(capacity, 0, 0, addrA, addrB)
+}
+
+// newPipe connects two halves whose directions hold up to limit cells
+// each; cells from a reach b abDelay after Send, and cells from b reach a
+// baDelay after Send.
+func newPipe(limit int, abDelay, baDelay time.Duration, addrA, addrB string) (*pipeHalf, *pipeHalf) {
+	ab := newQueue[cell.Cell](limit, abDelay)
+	ba := newQueue[cell.Cell](limit, baDelay)
 	a := &pipeHalf{peerAddr: addrB, in: ba, out: ab, closed: make(chan struct{})}
 	b := &pipeHalf{peerAddr: addrA, in: ab, out: ba, closed: make(chan struct{})}
 	a.peerClosed = b.closed
@@ -37,24 +46,10 @@ func Pipe(capacity int, addrA, addrB string) (Link, Link) {
 }
 
 func (p *pipeHalf) Send(c *cell.Cell) error {
-	// Check our own closure first: a buffered out channel could otherwise
-	// win the select below even after Close.
-	select {
-	case <-p.closed:
-		return ErrClosed
-	default:
-	}
-	select {
-	case <-p.closed:
-		return ErrClosed
-	case <-p.peerClosed:
-		return fmt.Errorf("link: peer %s closed", p.peerAddr)
-	case p.out <- *c:
-		return nil
-	}
+	return p.err(p.out.put(c, p.closed, p.peerClosed))
 }
 
-// SendBatch implements BatchSender over the channel transport.
+// SendBatch implements BatchSender over the in-process transport.
 func (p *pipeHalf) SendBatch(cs []cell.Cell) error {
 	for i := range cs {
 		if err := p.Send(&cs[i]); err != nil {
@@ -64,42 +59,25 @@ func (p *pipeHalf) SendBatch(cs []cell.Cell) error {
 	return nil
 }
 
+// Recv blocks until the next cell is due. Cells already sent drain after
+// the peer closes, each at its due time.
 func (p *pipeHalf) Recv(c *cell.Cell) error {
-	select {
-	case <-p.closed:
-		return ErrClosed
-	case *c = <-p.in:
-		return nil
-	case <-p.peerClosed:
-		// Drain anything already buffered before reporting closure.
-		select {
-		case *c = <-p.in:
-			return nil
-		default:
-			return fmt.Errorf("link: peer %s closed", p.peerAddr)
-		}
-	}
+	return p.err(p.in.get(c, p.closed, p.peerClosed))
 }
 
-// RecvBatch implements BatchRecver: one blocking receive, then a
-// non-blocking drain of whatever the peer has already queued.
+// RecvBatch implements BatchRecver: one blocking receive, then whatever
+// the peer has queued that is already due.
 func (p *pipeHalf) RecvBatch(cs []cell.Cell) (int, error) {
-	if len(cs) == 0 {
-		return 0, nil
+	n, err := p.in.getBatch(cs, p.closed, p.peerClosed)
+	return n, p.err(err)
+}
+
+// err names the peer in a queue's peer-gone error.
+func (p *pipeHalf) err(err error) error {
+	if errors.Is(err, errGone) {
+		return fmt.Errorf("link: peer %s closed", p.peerAddr)
 	}
-	if err := p.Recv(&cs[0]); err != nil {
-		return 0, err
-	}
-	n := 1
-	for n < len(cs) {
-		select {
-		case cs[n] = <-p.in:
-			n++
-		default:
-			return n, nil
-		}
-	}
-	return n, nil
+	return err
 }
 
 func (p *pipeHalf) Close() error {

@@ -3,6 +3,7 @@ package link
 import (
 	"fmt"
 	"sync"
+	"time"
 )
 
 // PipeNet is an in-process network: a registry of named listeners connected
@@ -40,13 +41,27 @@ func (n *PipeNet) Listen(addr string) (Listener, error) {
 // Dial connects to the listener registered at addr. PipeNet implements
 // Dialer.
 func (n *PipeNet) Dial(addr string) (Link, error) {
+	return n.dial(addr, pipeCap, 0, 0)
+}
+
+// DialDelayed connects to addr over a pipe that carries one-way delays:
+// cells the returned Link sends reach the listener's side sendDelay later,
+// and cells sent back reach it recvDelay later. The delay lives in the
+// pipe's own queues, so the link starts no goroutines and keeps
+// BatchRecver and BatchSender. Each direction holds up to 1280 cells in
+// flight before Send blocks.
+func (n *PipeNet) DialDelayed(addr string, sendDelay, recvDelay time.Duration) (Link, error) {
+	return n.dial(addr, delayedPipeCap, sendDelay, recvDelay)
+}
+
+func (n *PipeNet) dial(addr string, limit int, sendDelay, recvDelay time.Duration) (Link, error) {
 	n.mu.Lock()
 	l, ok := n.listeners[addr]
 	n.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("link: no listener at %s", addr)
 	}
-	clientHalf, serverHalf := Pipe(0, "dialer", addr)
+	clientHalf, serverHalf := newPipe(limit, sendDelay, recvDelay, "dialer", addr)
 	select {
 	case <-l.closed:
 		return nil, fmt.Errorf("link: listener %s closed", addr)

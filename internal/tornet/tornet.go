@@ -411,31 +411,29 @@ func (n *Net) NodeName(id inet.NodeID) (string, bool) {
 }
 
 // dialerFrom builds a link dialer whose connections carry the one-way
-// latency between the caller's node and the target relay's node. fromName
-// identifies the dialing endpoint in fault-plan rules. With a fault plan
-// installed, dials to Down relays are refused and every link is wrapped
-// with the plan's per-link faults beneath the latency injector.
+// latency between the caller's node and the target relay's node. In-process
+// links carry it in the pipe itself; TCP links are wrapped in link.Delayed.
+// fromName identifies the dialing endpoint in fault-plan rules. With a
+// fault plan installed, dials to Down relays are refused and every link is
+// wrapped with the plan's per-link faults outside the latency.
 func (n *Net) dialerFrom(from inet.NodeID, fromName string) link.Dialer {
 	var inner link.Dialer = link.DialerFunc(func(addr string) (link.Link, error) {
 		to, ok := n.nodeOf(addr)
 		if !ok {
 			return nil, fmt.Errorf("tornet: no relay at %q", addr)
 		}
-		var raw link.Link
-		var err error
-		if n.cfg.TCP {
-			raw, err = link.TCPDialer{}.Dial(addr)
-		} else {
-			raw, err = n.pn.Dial(addr)
+		oneWay := n.scale(n.cfg.Topology.RTT(from, to) / 2)
+		if !n.cfg.TCP {
+			return n.pn.DialDelayed(addr, oneWay, oneWay)
 		}
+		raw, err := link.TCPDialer{}.Dial(addr)
 		if err != nil {
 			return nil, err
 		}
-		oneWay := n.scale(n.cfg.Topology.RTT(from, to) / 2)
 		return link.Delayed(raw, oneWay, oneWay), nil
 	})
 	if n.cfg.Faults != nil {
-		// The fault wrapper sits outside Delayed: a reset or drop decided
+		// The fault wrapper sits outside the delay: a reset or drop decided
 		// at send time closes the whole delayed link, exactly like a path
 		// failing under traffic.
 		inner = n.cfg.Faults.WrapDialer(inner, fromName, func(addr string) string {

@@ -2,6 +2,7 @@ package tornet
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"ting/internal/echo"
 	"ting/internal/geo"
 	"ting/internal/inet"
+	"ting/internal/link"
 )
 
 // smallWorld builds a topology with deterministic, overridden RTTs so the
@@ -264,5 +266,43 @@ func TestTCPTransportEcho(t *testing.T) {
 	// Over TCP the circuit (w, x) still pays host↔x twice per round trip.
 	if got < 38 || got > 70 {
 		t.Errorf("TCP-mode RTT = %.1f ms, want ≈ 40", got)
+	}
+}
+
+// TestPipeLinksCarryDelayWithoutPumps checks that in-process links carry
+// their latency in the pipe: a dialed link keeps the batch interfaces, and
+// dialing starts no goroutines beyond the relay's one reader per link.
+func TestPipeLinksCarryDelayWithoutPumps(t *testing.T) {
+	topo, host := smallWorld(t, 3)
+	n, err := Build(Config{Topology: topo, Host: host, TimeScale: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	x := inet.NodeID(0)
+	xName, _ := n.NodeName(x)
+	d := n.dialerFrom(host, WName)
+
+	const dials = 16
+	before := runtime.NumGoroutine()
+	links := make([]link.Link, 0, dials)
+	for i := 0; i < dials; i++ {
+		lk, err := d.Dial(xName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		links = append(links, lk)
+	}
+	if g := runtime.NumGoroutine() - before; g > dials {
+		t.Errorf("%d dials started %d goroutines, want at most one relay reader each", dials, g)
+	}
+	for _, lk := range links {
+		if _, ok := lk.(link.BatchSender); !ok {
+			t.Fatalf("pipe-mode link %T hides BatchSender", lk)
+		}
+		if _, ok := lk.(link.BatchRecver); !ok {
+			t.Fatalf("pipe-mode link %T hides BatchRecver", lk)
+		}
+		lk.Close()
 	}
 }
